@@ -95,14 +95,20 @@ let clock_horizon c ~cutoff =
   done;
   if !lo = 0 then Timestamp.zero else c.cl_ts.(!lo - 1)
 
-let clock_time_of c ts =
+(* Index of [ts] in the clock, or -1 when it was never noted. *)
+let clock_index c ts =
   let lo = ref 0 and hi = ref c.cl_len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if Timestamp.compare c.cl_ts.(mid) ts < 0 then lo := mid + 1 else hi := mid
   done;
-  if !lo < c.cl_len && Timestamp.equal c.cl_ts.(!lo) ts then Some c.cl_at.(!lo)
-  else None
+  if !lo < c.cl_len && Timestamp.equal c.cl_ts.(!lo) ts then !lo else -1
+
+let clock_time_of c ts =
+  let i = clock_index c ts in
+  if i < 0 then None else Some c.cl_at.(i)
+
+let clock_rank c ts = clock_index c ts + 1
 
 let clock_len c = c.cl_len
 

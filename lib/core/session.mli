@@ -84,6 +84,11 @@ val clock_horizon : clock -> cutoff:float -> Timestamp.t
 (** [clock_time_of c ts] is the recorded commit time of [ts], if any. *)
 val clock_time_of : clock -> Timestamp.t -> float option
 
+(** [clock_rank c ts] is the 1-based position of [ts] among the noted
+    commits (the commit ordinal), or 0 if [ts] was never noted. *)
+val clock_rank : clock -> Timestamp.t -> int
+
+(** Number of commits noted so far. *)
 val clock_len : clock -> int
 
 type t

@@ -181,15 +181,11 @@ type state = {
   metrics : Metrics.t;
   ins : instruments;
   history : History.t;  (* used only when cfg.record_history *)
-  (* Primary commit timestamp -> virtual commit time, for staleness. *)
-  commit_times : (Timestamp.t, float) Hashtbl.t;
-  (* Primary commit timestamp -> 1-based commit ordinal, plus the running
-     commit count, for the read-freshness metrics (always maintained: the
-     outcome reports freshness whether or not a lineage sink is attached). *)
-  commit_ord : (Timestamp.t, int) Hashtbl.t;
-  mutable commit_count : int;
+  (* Transaction source: the workload parameters and the run's key names. *)
+  gen : Txn_gen.generator;
   (* Primary commit clock (commit ts -> virtual time): resolves [Max_age]
-     fence horizons and replays them in the checker's fence audit. *)
+     fence horizons and replays them in the checker's fence audit; its
+     ranks and times also give refresh staleness and read freshness. *)
   clock : Session.clock;
   (* Online checker; [None] unless [cfg.watchdog]. [track_reads] caches
      [record_history || watchdog]: both consumers need the observed values
@@ -335,7 +331,7 @@ let run_applicator st site app =
       Obs.end_span obs !cur ~now ~args:(span_args ());
       Obs.incr st.ins.c_refresh_commits;
       let staleness =
-        match Hashtbl.find_opt st.commit_times ts with
+        match Session.clock_time_of st.clock ts with
         | Some committed_at -> now -. committed_at
         | None -> 0.
       in
@@ -389,7 +385,7 @@ let refresher_process st site () =
 
 let fresh_label st =
   st.label_counter <- st.label_counter + 1;
-  Printf.sprintf "s%d" st.label_counter
+  "s" ^ string_of_int st.label_counter
 
 let execute_update st rng label spec =
   let p = st.cfg.params in
@@ -425,10 +421,7 @@ let execute_update st rng label spec =
       let writes = Mvcc.pending_writes txn in
       match Mvcc.commit pdb txn with
       | Mvcc.Committed commit_ts ->
-        Hashtbl.replace st.commit_times commit_ts (Engine.now st.eng);
         Session.clock_note st.clock ~commit_ts ~at:(Engine.now st.eng);
-        st.commit_count <- st.commit_count + 1;
-        Hashtbl.replace st.commit_ord commit_ts st.commit_count;
         if Lsr_obs.Lineage.enabled st.cfg.lineage then
           Lsr_obs.Lineage.emit st.cfg.lineage ~txn:(Mvcc.txn_id txn)
             (Lsr_obs.Lineage.Primary_commit
@@ -548,15 +541,11 @@ let execute_read ?fence st site label spec =
      computed (the outcome reports it); the lineage sink gets the same
      sample when attached. *)
   let now = Engine.now st.eng in
-  let reflected =
-    if snapshot <= 0 then 0
-    else Option.value ~default:0 (Hashtbl.find_opt st.commit_ord snapshot)
-  in
-  let missed = st.commit_count - reflected in
+  let missed = Session.clock_len st.clock - Session.clock_rank st.clock snapshot in
   let age =
     if missed = 0 then 0.
     else
-      match Hashtbl.find_opt st.commit_times snapshot with
+      match Session.clock_time_of st.clock snapshot with
       | Some committed_at -> now -. committed_at
       | None -> now
   in
@@ -678,7 +667,7 @@ let client_process st site rng () =
       label := fresh_label st;
       session_end := now +. Rng.exponential rng ~mean:p.Params.session_time
     end;
-    let spec = Txn_gen.generate p rng in
+    let spec = Txn_gen.generate st.gen rng in
     run_txn st site rng ~label:!label spec;
     loop ()
   in
@@ -723,7 +712,7 @@ let open_loop_process st site ~clients ~arrival ~session_pool rng () =
     let label = pick_label (Engine.now st.eng) in
     let txn_rng = Rng.split rng in
     Process.spawn st.eng (fun () ->
-        let spec = Txn_gen.generate p txn_rng in
+        let spec = Txn_gen.generate st.gen txn_rng in
         run_txn st site txn_rng ~label spec)
   in
   match arrival with
@@ -1004,9 +993,7 @@ let run cfg =
       metrics = Metrics.create ~warmup:p.Params.warmup ~cap:p.Params.response_time_cap;
       ins = instruments cfg.obs;
       history = History.create ();
-      commit_times = Hashtbl.create 4096;
-      commit_ord = Hashtbl.create 4096;
-      commit_count = 0;
+      gen = Txn_gen.generator p;
       clock;
       watchdog = wdog;
       track_reads = cfg.record_history || cfg.watchdog;

@@ -1,10 +1,13 @@
 type state = Pending | Fired | Cancelled
 
 type event = {
-  time : float;
-  seq : int;
+  mutable time : float;
+  mutable seq : int;
   action : unit -> unit;
   mutable state : state;
+  (* Index in the heap array, -1 once popped: lets [reschedule] re-key a
+     queued event in place instead of leaving a cancelled copy behind. *)
+  mutable slot : int;
 }
 
 type handle = event
@@ -24,7 +27,8 @@ type t = {
 }
 
 (* Placeholder for empty heap slots; never compared or fired. *)
-let dummy = { time = neg_infinity; seq = -1; action = ignore; state = Cancelled }
+let dummy =
+  { time = neg_infinity; seq = -1; action = ignore; state = Cancelled; slot = -1 }
 
 let create () =
   { now = 0.; seq = 0; live = 0; fired = 0; data = [||]; size = 0 }
@@ -45,10 +49,13 @@ let sift_up t i =
     before ev t.data.(parent)
   do
     let parent = (!i - 1) / 2 in
-    t.data.(!i) <- t.data.(parent);
+    let moved = t.data.(parent) in
+    t.data.(!i) <- moved;
+    moved.slot <- !i;
     i := parent
   done;
-  t.data.(!i) <- ev
+  t.data.(!i) <- ev;
+  ev.slot <- !i
 
 let sift_down t i =
   let ev = t.data.(i) in
@@ -62,14 +69,17 @@ let sift_down t i =
         if right < t.size && before t.data.(right) t.data.(left) then right
         else left
       in
-      if before t.data.(child) ev then begin
-        t.data.(!i) <- t.data.(child);
+      let moved = t.data.(child) in
+      if before moved ev then begin
+        t.data.(!i) <- moved;
+        moved.slot <- !i;
         i := child
       end
       else continue := false
     end
   done;
-  t.data.(!i) <- ev
+  t.data.(!i) <- ev;
+  ev.slot <- !i
 
 let push t ev =
   let capacity = Array.length t.data in
@@ -91,16 +101,41 @@ let pop t =
     sift_down t 0
   end
   else t.data.(0) <- dummy;
+  top.slot <- -1;
   top
 
-let schedule t ~delay action =
+let check_delay op delay =
   if not (Float.is_finite delay) || delay < 0. then
-    invalid_arg "Engine.schedule: delay must be finite and non-negative";
-  let ev = { time = t.now +. delay; seq = t.seq; action; state = Pending } in
+    invalid_arg ("Engine." ^ op ^ ": delay must be finite and non-negative")
+
+let schedule t ~delay action =
+  check_delay "schedule" delay;
+  let ev =
+    { time = t.now +. delay; seq = t.seq; action; state = Pending; slot = -1 }
+  in
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   push t ev;
   ev
+
+(* A fresh [seq], exactly as [schedule] would draw, keeps the firing order
+   that of cancel-plus-schedule. A queued event (pending or cancelled) moves
+   to its new place in the heap; a popped one is pushed again. *)
+let reschedule t ev ~delay =
+  check_delay "reschedule" delay;
+  ev.time <- t.now +. delay;
+  ev.seq <- t.seq;
+  t.seq <- t.seq + 1;
+  (match ev.state with
+  | Pending -> ()
+  | Fired | Cancelled -> t.live <- t.live + 1);
+  ev.state <- Pending;
+  let i = ev.slot in
+  if i < 0 then push t ev
+  else begin
+    sift_up t i;
+    if ev.slot = i then sift_down t i
+  end
 
 let cancel t ev =
   match ev.state with

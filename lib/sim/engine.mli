@@ -24,6 +24,15 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
     that already fired (or was already cancelled) is a no-op. *)
 val cancel : t -> handle -> unit
 
+(** [reschedule t h ~delay] arranges for [h]'s action to run at time
+    [now t +. delay], whether [h] is pending, cancelled or has already
+    fired; a pending [h] no longer fires at its old time. The event is
+    re-keyed in place, so no cancelled copy stays queued, and it draws a
+    fresh tie-breaking rank: the firing order is exactly that of
+    [cancel t h] followed by a new [schedule].
+    @raise Invalid_argument if [delay] is negative or not finite. *)
+val reschedule : t -> handle -> delay:float -> unit
+
 (** [step t] fires the earliest pending event, advancing the clock to its
     time. Returns [false] when no events remain. *)
 val step : t -> bool

@@ -31,6 +31,8 @@ type t = {
   mutable vtime : float;
   mutable ps_seq : int;
   mutable last_update : float;
+  (* The one completion event, created at the first arrival and re-armed
+     in place at every population change from then on. *)
   mutable completion : Engine.handle option;
   (* Fifo / round-robin: the waiting line and the server state. *)
   queue : job Queue.t;
@@ -136,20 +138,17 @@ let ps_advance t =
   t.last_update <- now
 
 let rec ps_reschedule t =
-  (match t.completion with
-  | Some h ->
-    Engine.cancel t.eng h;
-    t.completion <- None
-  | None -> ());
   match Binheap.peek t.ps_heap with
-  | None -> ()
-  | Some next ->
+  | None -> Option.iter (Engine.cancel t.eng) t.completion
+  | Some next -> (
     let n = float_of_int (Binheap.length t.ps_heap) in
     let delay = max 0. ((next.vfinish -. t.vtime) *. n) in
-    t.completion <- Some (Engine.schedule t.eng ~delay (fun () -> ps_complete t))
+    match t.completion with
+    | Some h -> Engine.reschedule t.eng h ~delay
+    | None ->
+      t.completion <- Some (Engine.schedule t.eng ~delay (fun () -> ps_complete t)))
 
 and ps_complete t =
-  t.completion <- None;
   ps_advance t;
   (* Pop every job whose demand is met at the advanced virtual time; ties
      complete in arrival order (heap order includes [seq]). *)

@@ -10,7 +10,9 @@ type txn = {
   (* Buffered writes, newest-first; replayed in reverse for the log and the
      version store so that later writes to the same key win. *)
   mutable writes : Wal.update list;
-  writes_by_key : (string, string option) Hashtbl.t;
+  (* Latest value per written key; created by the first [write], so a
+     read-only transaction never allocates it. *)
+  mutable writes_by_key : (string, string option) Hashtbl.t option;
   mutable state : txn_state;
 }
 
@@ -28,8 +30,11 @@ type t = {
   (* Per-key version chains, newest first. *)
   store : (string, version list) Hashtbl.t;
   (* Committed keys in lexicographic order: prefix and range scans seek in
-     O(log n) instead of folding over the whole store. *)
+     O(log n) instead of folding over the whole store. Keys committed since
+     the last seek wait in [unindexed] and are merged in by the next one, so
+     a store that is never scanned never pays for the ordered index. *)
   mutable key_set : Sset.t;
+  mutable unindexed : string list;
   (* Stored versions across all keys, maintained incrementally so the
      monitor can sample it every virtual second at zero marginal cost. *)
   mutable versions : int;
@@ -48,6 +53,7 @@ let create ?(name = "db") () =
     clock = Timestamp.source ();
     store = Hashtbl.create 1024;
     key_set = Sset.empty;
+    unindexed = [];
     versions = 0;
     wal = Wal.create ();
     next_txn_id = 0;
@@ -63,7 +69,7 @@ let make_txn t start_ts =
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;
   Wal.append t.wal (Wal.Start { txn = id; ts = start_ts });
-  { id; start_ts; writes = []; writes_by_key = Hashtbl.create 8; state = Active }
+  { id; start_ts; writes = []; writes_by_key = None; state = Active }
 
 let begin_txn t = make_txn t (Timestamp.next t.clock)
 
@@ -101,15 +107,24 @@ let snapshot_read t ~at key =
 
 let read t txn key =
   require_active txn "read";
-  match Hashtbl.find_opt txn.writes_by_key key with
-  | Some value -> value
+  match txn.writes_by_key with
   | None -> snapshot_read t ~at:txn.start_ts key
+  | Some by_key -> (
+    match Hashtbl.find_opt by_key key with
+    | Some value -> value
+    | None -> snapshot_read t ~at:txn.start_ts key)
 
 let write t txn key value =
   require_active txn "write";
-  Wal.append t.wal (Wal.Update { txn = txn.id; update = { key; value } });
-  txn.writes <- { Wal.key; value } :: txn.writes;
-  Hashtbl.replace txn.writes_by_key key value
+  let update = { Wal.key; value } in
+  Wal.append t.wal (Wal.Update { txn = txn.id; update });
+  txn.writes <- update :: txn.writes;
+  match txn.writes_by_key with
+  | Some by_key -> Hashtbl.replace by_key key value
+  | None ->
+    let by_key = Hashtbl.create 8 in
+    Hashtbl.replace by_key key value;
+    txn.writes_by_key <- Some by_key
 
 let first_committer_conflict t txn =
   (* A committed version newer than our snapshot on any written key means a
@@ -120,9 +135,12 @@ let first_committer_conflict t txn =
     | Some [] -> false
     | Some (newest :: _) -> Timestamp.compare newest.committed_at txn.start_ts > 0
   in
-  Hashtbl.fold
-    (fun key _ acc -> match acc with Some _ -> acc | None -> if conflicting key then Some key else None)
-    txn.writes_by_key None
+  match txn.writes_by_key with
+  | None -> None
+  | Some by_key ->
+    Hashtbl.fold
+      (fun key _ acc -> match acc with Some _ -> acc | None -> if conflicting key then Some key else None)
+      by_key None
 
 let install t ~commit_ts updates =
   let apply { Wal.key; value } =
@@ -131,7 +149,7 @@ let install t ~commit_ts updates =
       Hashtbl.replace t.store key ({ committed_at = commit_ts; value } :: versions)
     | None ->
       Hashtbl.replace t.store key [ { committed_at = commit_ts; value } ];
-      t.key_set <- Sset.add key t.key_set);
+      t.unindexed <- key :: t.unindexed);
     t.versions <- t.versions + 1
   in
   List.iter apply updates;
@@ -142,16 +160,21 @@ let install t ~commit_ts updates =
 (* Squash the newest-first write buffer into one update per key, preserving
    first-write order between keys and keeping the last value written. *)
 let effective_updates txn =
-  let ordered = List.rev txn.writes in
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun { Wal.key; value = _ } ->
-      if Hashtbl.mem seen key then None
-      else begin
-        Hashtbl.add seen key ();
-        Some { Wal.key; value = Hashtbl.find txn.writes_by_key key }
-      end)
-    ordered
+  match txn.writes_by_key with
+  | None -> []
+  | Some by_key when Hashtbl.length by_key = List.length txn.writes ->
+    (* Every key written once: the buffer is already squashed. *)
+    List.rev txn.writes
+  | Some by_key ->
+    let seen = Hashtbl.create 8 in
+    List.filter_map
+      (fun { Wal.key; value = _ } ->
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some { Wal.key; value = Hashtbl.find by_key key }
+        end)
+      (List.rev txn.writes)
 
 let commit t txn =
   require_active txn "commit";
@@ -174,7 +197,7 @@ let abort t txn =
 
 let end_read _t txn =
   require_active txn "end_read";
-  if Hashtbl.length txn.writes_by_key > 0 then
+  if Option.is_some txn.writes_by_key then
     invalid_arg "Mvcc.end_read: transaction has writes; commit or abort it";
   txn.state <- Committed_
 
@@ -211,18 +234,28 @@ let nth_state t i =
 
 let committed_state t = state_at t t.latest_commit
 
-let keys_from t start = Sset.to_seq_from start t.key_set
+(* Merge the keys committed since the last seek into the ordered index. The
+   set stays immutable, so a sequence taken earlier is unaffected. *)
+let index_keys t =
+  match t.unindexed with
+  | [] -> ()
+  | keys ->
+    t.key_set <- List.fold_left (fun set key -> Sset.add key set) t.key_set keys;
+    t.unindexed <- []
+
+let keys_from t start =
+  index_keys t;
+  Sset.to_seq_from start t.key_set
 
 let fold_keys t ~prefix ~init ~f =
   (* Keys are sorted, so every key with [prefix] sits in one contiguous run
      starting at the first key >= prefix: seek there and stop at the first
      non-match instead of folding over the whole store. *)
-  let plen = String.length prefix in
-  let matches key = String.length key >= plen && String.sub key 0 plen = prefix in
   let rec consume acc seq =
     match seq () with
     | Seq.Nil -> acc
-    | Seq.Cons (key, rest) -> if matches key then consume (f acc key) rest else acc
+    | Seq.Cons (key, rest) ->
+      if String.starts_with ~prefix key then consume (f acc key) rest else acc
   in
   consume init (keys_from t prefix)
 

@@ -113,12 +113,17 @@ val committed_state : t -> (string * string) list
 
 (** [fold_keys t ~prefix ~init ~f] folds over every key ever written with the
     given prefix, in ascending lexicographic order (visibility is up to the
-    caller via [read]). Costs O(log n + k) for k matching keys, not O(n). *)
+    caller via [read]). Costs O(log n + k) for k matching keys, not O(n),
+    plus the ordered index's catch-up (see [keys_from]). *)
 val fold_keys : t -> prefix:string -> init:'acc -> f:('acc -> string -> 'acc) -> 'acc
 
 (** [keys_from t start] is the ascending sequence of every key ever written
     that is [>= start]. Backs index range seeks: O(log n) to position, O(1)
-    per element. The sequence is persistent (safe to re-force). *)
+    per element. Commits only queue their new keys; the first seek after
+    them merges the queue into the ordered index, O(log n) per new key, so
+    a store that is never scanned never pays for the index. The sequence is
+    persistent (safe to re-force): keys committed after it was taken do not
+    appear in it, only in the next [keys_from]. *)
 val keys_from : t -> string -> string Seq.t
 
 (** {2 Maintenance} *)

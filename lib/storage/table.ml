@@ -76,14 +76,10 @@ let delete t txn ~pk =
 (* Keys with [prefix] visible to [txn]: committed keys plus the
    transaction's own fresh inserts. *)
 let candidate_keys t txn ~prefix =
-  let prefix_len = String.length prefix in
-  let has_prefix k =
-    String.length k >= prefix_len && String.sub k 0 prefix_len = prefix
-  in
   let committed =
     Mvcc.fold_keys t.db ~prefix ~init:[] ~f:(fun acc k -> k :: acc)
   in
-  let own = List.filter has_prefix (Mvcc.written_keys txn) in
+  let own = List.filter (String.starts_with ~prefix) (Mvcc.written_keys txn) in
   List.sort_uniq String.compare (own @ committed)
 
 (* Keys in [start, halt), committed or freshly written by [txn]. The

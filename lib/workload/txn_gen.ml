@@ -13,30 +13,46 @@ type spec = {
   ops : op list;
 }
 
-let key params rng =
+(* Key names are formatted once per generator, on first draw: every later
+   draw of the same item shares the string. The table belongs to the
+   generator, not to the process, so two runs allocate the same. *)
+type generator = { params : Params.t; names : string array }
+
+let generator params =
+  { params; names = Array.make params.Params.key_space "" }
+
+let key g rng =
+  let params = g.params in
   let n = params.Params.key_space in
   let idx =
     if params.Params.key_skew > 0. then
       Rng.zipf rng ~n ~s:params.Params.key_skew - 1
     else Rng.uniform rng ~lo:0 ~hi:(n - 1)
   in
-  Printf.sprintf "item:%06d" idx
+  match g.names.(idx) with
+  | "" ->
+    let name = Printf.sprintf "item:%06d" idx in
+    g.names.(idx) <- name;
+    name
+  | name -> name
 
-let fresh_value rng = Printf.sprintf "v%Ld" (Rng.bits64 rng)
+let value_of_bits bits = "v" ^ Int64.to_string bits
+let fresh_value rng = value_of_bits (Rng.bits64 rng)
 
-let generate params rng =
+let generate g rng =
+  let params = g.params in
   let size =
     Rng.uniform rng ~lo:params.Params.tran_size_min ~hi:params.Params.tran_size_max
   in
   let is_update = Rng.bernoulli rng ~p:params.Params.update_tran_prob in
   if not is_update then
-    { kind = Read_only; ops = List.init size (fun _ -> Read_op (key params rng)) }
+    { kind = Read_only; ops = List.init size (fun _ -> Read_op (key g rng)) }
   else begin
     let ops =
       List.init size (fun _ ->
           if Rng.bernoulli rng ~p:params.Params.update_op_prob then
-            Write_op (key params rng, fresh_value rng)
-          else Read_op (key params rng))
+            Write_op (key g rng, fresh_value rng)
+          else Read_op (key g rng))
     in
     (* Guarantee at least one write, else this is a read-only transaction in
        disguise and would skew the routed mix. *)

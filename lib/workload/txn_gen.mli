@@ -20,10 +20,22 @@ type spec = {
   ops : op list;  (** in execution order; non-empty *)
 }
 
-(** [generate params rng] draws a fresh transaction. An update transaction is
+(** A transaction source for one run: the parameters plus the table of
+    key names (["item:%06d"]), each formatted once, at its first draw. *)
+type generator
+
+(** [generator params] is a fresh source with an empty name table. Make one
+    per run: the table is what the run's draws share. *)
+val generator : Params.t -> generator
+
+(** [generate g rng] draws a fresh transaction. An update transaction is
     guaranteed at least one write (a writeless "update" would be a read-only
     transaction misrouted to the primary). *)
-val generate : Params.t -> Rng.t -> spec
+val generate : generator -> Rng.t -> spec
+
+(** [value_of_bits b] is the value a write draws for the random bits [b]:
+    ["v"] followed by [b] in decimal. *)
+val value_of_bits : int64 -> string
 
 val op_count : spec -> int
 val is_update : spec -> bool

@@ -737,6 +737,24 @@ let test_fence_clock_horizon () =
        false
      with Invalid_argument _ -> true)
 
+let test_clock_rank () =
+  let c = Session.clock_create () in
+  check_int "empty clock" 0 (Session.clock_rank c 1);
+  List.iteri
+    (fun i ts -> Session.clock_note c ~commit_ts:ts ~at:(float_of_int i))
+    [ 2; 3; 7; 11; 12 ];
+  List.iter
+    (fun (ts, want) ->
+      check_int (Printf.sprintf "rank of %d" ts) want (Session.clock_rank c ts))
+    [ (2, 1); (3, 2); (7, 3); (11, 4); (12, 5) ];
+  (* Absent timestamps rank 0: below the first, in a gap, past the last,
+     and the zero timestamp of a site that has applied nothing. *)
+  List.iter
+    (fun ts -> check_int (Printf.sprintf "absent %d" ts) 0 (Session.clock_rank c ts))
+    [ Timestamp.zero; 1; 5; 13; 1_000 ];
+  (* Rank and length give the commits a snapshot misses. *)
+  check_int "missed after ts 7" 2 (Session.clock_len c - Session.clock_rank c 7)
+
 let test_fence_raises_weak_floor () =
   (* A fence is additive to the ambient guarantee: under Weak, required_seq
      is the fence's threshold alone; a Session_seq fence reduces exactly to
@@ -2085,6 +2103,7 @@ let () =
             test_fence_string_round_trip;
           Alcotest.test_case "fence commit-clock horizon" `Quick
             test_fence_clock_horizon;
+          Alcotest.test_case "clock rank" `Quick test_clock_rank;
           Alcotest.test_case "fence raises the weak floor" `Quick
             test_fence_raises_weak_floor;
           Alcotest.test_case "fence max-age threshold" `Quick

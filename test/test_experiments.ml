@@ -479,6 +479,39 @@ let test_sim_freshness_outcome () =
   check_bool "read age mean nonnegative" true (o.Sim_system.read_age_mean >= 0.);
   check_bool "missed mean nonnegative" true (o.Sim_system.read_missed_mean >= 0.)
 
+(* The outcome's freshness comes from the primary's commit clock; Lineage
+   keeps its own commit tables and samples every read independently. Over
+   the measured window (after the warm-up, as the outcome counts), the two
+   must agree on every read's age and missed-commit count. *)
+let test_sim_freshness_matches_lineage () =
+  List.iter
+    (fun (guarantee, seed) ->
+      let lineage = Lsr_obs.Lineage.create () in
+      let o =
+        Sim_system.run
+          { (Sim_system.config tiny_params guarantee ~seed) with Sim_system.lineage }
+      in
+      let samples =
+        List.concat_map
+          (fun site -> Lsr_obs.Lineage.freshness_samples lineage ~site)
+          (Lsr_obs.Lineage.sites lineage)
+        |> List.filter (fun f -> f.Lsr_obs.Lineage.at > tiny_params.Params.warmup)
+      in
+      let n = float_of_int (List.length samples) in
+      let mean f = List.fold_left (fun acc x -> acc +. f x) 0. samples /. n in
+      let age = mean (fun f -> f.Lsr_obs.Lineage.age) in
+      let missed = mean (fun f -> float_of_int f.Lsr_obs.Lineage.missed) in
+      let name = Session.guarantee_name guarantee in
+      check_bool (name ^ ": measured reads sampled") true (n > 100.);
+      check_bool (name ^ ": reads missed commits") true (missed > 0.);
+      let close what want got =
+        Alcotest.(check (float (1e-9 *. Float.max 1. (Float.abs want))))
+          (name ^ ": " ^ what) want got
+      in
+      close "read_age_mean" age o.Sim_system.read_age_mean;
+      close "read_missed_mean" missed o.Sim_system.read_missed_mean)
+    [ (Session.Weak, 21); (Session.Strong_session, 22) ]
+
 let test_sim_obs_exports_deterministic () =
   (* Same seed, fresh registries: metrics and trace exports are
      byte-identical; a different seed diverges. *)
@@ -769,6 +802,8 @@ let () =
             test_lag_report_empty_site;
           Alcotest.test_case "freshness in outcome" `Quick
             test_sim_freshness_outcome;
+          Alcotest.test_case "freshness matches lineage" `Quick
+            test_sim_freshness_matches_lineage;
           Alcotest.test_case "monitor does not perturb" `Quick
             test_sim_monitor_does_not_perturb;
           Alcotest.test_case "monitor timeseries byte-deterministic" `Quick

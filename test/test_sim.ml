@@ -878,6 +878,83 @@ let prop_stat_mean_matches_naive =
       let naive = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
       Float.abs (Stat.mean s -. naive) < 1e-6 *. (1. +. Float.abs naive))
 
+(* [reschedule] must be indistinguishable from cancel-plus-schedule. A
+   random script drives eight timers, re-arming and cancelling them both
+   from inside firing events (so the re-armed handle is often the one
+   firing) and between [run ~until] slices (so it is pending or cancelled
+   but still queued). Both engines make the same random choices as long as
+   they fire in the same order, so the logs match only if every firing
+   does. Half-second delays force many same-instant ties. *)
+let reschedule_script ~in_place seed =
+  let eng = Engine.create () in
+  let rng = Random.State.make [| seed |] in
+  let n = 8 in
+  let handles = Array.make n None in
+  let log = ref [] in
+  let delay () = 0.5 *. float_of_int (Random.State.int rng 6) in
+  let rec arm j d =
+    match handles.(j) with
+    | Some h when in_place -> Engine.reschedule eng h ~delay:d
+    | prev ->
+      Option.iter (Engine.cancel eng) prev;
+      handles.(j) <- Some (Engine.schedule eng ~delay:d (fun () -> fire j))
+  and fire j =
+    log := (Engine.now eng, j, Engine.pending eng) :: !log;
+    perturb ()
+  and perturb () =
+    for _ = 1 to Random.State.int rng 3 do
+      let j = Random.State.int rng n in
+      if Random.State.int rng 4 = 0 then Option.iter (Engine.cancel eng) handles.(j)
+      else arm j (delay ())
+    done
+  in
+  for j = 0 to n - 1 do
+    arm j (delay ())
+  done;
+  for k = 1 to 30 do
+    Engine.run ~until:(float_of_int k) eng;
+    perturb ()
+  done;
+  (List.rev !log, Engine.events_processed eng, Engine.pending eng)
+
+let test_engine_reschedule_equivalence () =
+  for seed = 1 to 300 do
+    let log_a, fired_a, pending_a = reschedule_script ~in_place:true seed in
+    let log_b, fired_b, pending_b = reschedule_script ~in_place:false seed in
+    check_bool (Printf.sprintf "seed %d: same firings" seed) true (log_a = log_b);
+    check_int (Printf.sprintf "seed %d: events_processed" seed) fired_b fired_a;
+    check_int (Printf.sprintf "seed %d: pending" seed) pending_b pending_a
+  done
+
+let test_engine_reschedule_states () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let h = Engine.schedule eng ~delay:5. (fun () -> fired := Engine.now eng :: !fired) in
+  (* Pending: moves earlier, fires once. *)
+  Engine.reschedule eng h ~delay:2.;
+  check_int "still one pending" 1 (Engine.pending eng);
+  Engine.run eng;
+  Alcotest.(check (list (float 0.))) "fired at the new time" [ 2. ] !fired;
+  (* Fired: armed again. *)
+  Engine.reschedule eng h ~delay:1.;
+  check_int "re-armed after firing" 1 (Engine.pending eng);
+  (* Cancelled: armed again. *)
+  Engine.cancel eng h;
+  check_int "cancelled" 0 (Engine.pending eng);
+  Engine.reschedule eng h ~delay:3.;
+  check_int "re-armed after cancel" 1 (Engine.pending eng);
+  Engine.run eng;
+  Alcotest.(check (list (float 0.))) "fired again" [ 5.; 2. ] !fired;
+  check_int "two events fired" 2 (Engine.events_processed eng);
+  List.iter
+    (fun d ->
+      check_bool "bad delay rejected" true
+        (try
+           Engine.reschedule eng h ~delay:d;
+           false
+         with Invalid_argument _ -> true))
+    [ -1.; Float.nan; Float.infinity ]
+
 (* Budgeted-ops guard (PR 6): the event heap must stay O(log n) per
    operation under a large randomized load, including interleaved
    cancellations. 200k events is bench-scale; the 10s budget is generous
@@ -943,6 +1020,10 @@ let () =
             test_engine_until_exact_boundary;
           Alcotest.test_case "fifo ties with cancel and until" `Quick
             test_engine_fifo_ties_with_cancel_and_until;
+          Alcotest.test_case "reschedule = cancel + schedule" `Quick
+            test_engine_reschedule_equivalence;
+          Alcotest.test_case "reschedule from each state" `Quick
+            test_engine_reschedule_states;
           Alcotest.test_case "200k-event heap budget" `Slow
             test_engine_heap_budget;
         ] );

@@ -323,6 +323,82 @@ let test_fold_keys_prefix () =
   in
   check_int "prefix filter" 2 books
 
+(* The ordered key index is brought up to date by the seek, not by the
+   commit: every key committed before a [keys_from]/[fold_keys] call must be
+   in its result, however commits and seeks interleave. *)
+let test_index_catches_up_interleaved () =
+  let module S = Set.Make (String) in
+  let db = Mvcc.create () in
+  let model = ref S.empty in
+  let rng = Random.State.make [| 21 |] in
+  let key () =
+    Printf.sprintf "%c:%03d" "abc".[Random.State.int rng 3] (Random.State.int rng 200)
+  in
+  for round = 1 to 300 do
+    (* One to three commits, some re-writing keys already indexed. *)
+    for _ = 1 to 1 + Random.State.int rng 3 do
+      let k = key () in
+      seed db [ (k, "v") ];
+      model := S.add k !model
+    done;
+    let start = key () in
+    Alcotest.(check (list string))
+      (Printf.sprintf "round %d: keys_from %s" round start)
+      (List.of_seq (S.to_seq_from start !model))
+      (List.of_seq (Mvcc.keys_from db start));
+    let prefix = String.sub start 0 2 in
+    Alcotest.(check (list string))
+      (Printf.sprintf "round %d: fold_keys %s" round prefix)
+      (List.filter (String.starts_with ~prefix) (S.elements !model))
+      (List.rev (Mvcc.fold_keys db ~prefix ~init:[] ~f:(fun acc k -> k :: acc)))
+  done;
+  (* A fold first, then a seek: either one merges the pending keys. *)
+  seed db [ ("d:001", "v") ];
+  check_int "fold sees the new key" 1
+    (Mvcc.fold_keys db ~prefix:"d:" ~init:0 ~f:(fun acc _ -> acc + 1));
+  seed db [ ("d:000", "v") ];
+  Alcotest.(check (list string)) "seek sees the newer key" [ "d:000"; "d:001" ]
+    (List.of_seq (Mvcc.keys_from db "d:"))
+
+let test_keys_from_is_persistent () =
+  let db = Mvcc.create () in
+  seed db [ ("a", "1"); ("c", "3") ];
+  let before = Mvcc.keys_from db "" in
+  seed db [ ("b", "2") ];
+  seed db [ ("d", "4") ];
+  Alcotest.(check (list string)) "taken before the commits" [ "a"; "c" ]
+    (List.of_seq before);
+  Alcotest.(check (list string)) "forced again" [ "a"; "c" ] (List.of_seq before);
+  Alcotest.(check (list string)) "next seek" [ "a"; "b"; "c"; "d" ]
+    (List.of_seq (Mvcc.keys_from db ""));
+  Alcotest.(check (list string)) "still unchanged" [ "a"; "c" ] (List.of_seq before)
+
+(* A read-only transaction never creates a write buffer; the first write
+   does, and repeated writes squash to one update per key in first-write
+   order. *)
+let test_write_buffer_squash_order () =
+  let db = Mvcc.create () in
+  seed db [ ("x", "0") ];
+  let ro = Mvcc.begin_txn db in
+  check_str_opt "read-only read" (Some "0") (Mvcc.read db ro "x");
+  Alcotest.(check (list string)) "no written keys" [] (Mvcc.written_keys ro);
+  Mvcc.end_read db ro;
+  let txn = Mvcc.begin_txn db in
+  put db txn "y" "1";
+  put db txn "x" "2";
+  put db txn "y" "3";
+  Mvcc.write db txn "z" None;
+  check_str_opt "own write" (Some "3") (Mvcc.read db txn "y");
+  check_str_opt "own delete" None (Mvcc.read db txn "z");
+  let writes = Mvcc.pending_writes txn in
+  Alcotest.(check (list (pair string (option string))))
+    "squashed in first-write order"
+    [ ("y", Some "3"); ("x", Some "2"); ("z", None) ]
+    (List.map (fun { Wal.key; value } -> (key, value)) writes);
+  ignore (commit_exn db txn);
+  Alcotest.(check (list (pair string string)))
+    "installed" [ ("x", "2"); ("y", "3") ] (Mvcc.committed_state db)
+
 let test_wal_records_transaction () =
   let db = Mvcc.create () in
   let txn = Mvcc.begin_txn db in
@@ -1048,6 +1124,12 @@ let () =
           Alcotest.test_case "commit history ordered" `Quick
             test_commit_history_ordered;
           Alcotest.test_case "fold_keys prefix" `Quick test_fold_keys_prefix;
+          Alcotest.test_case "index catches up, interleaved" `Quick
+            test_index_catches_up_interleaved;
+          Alcotest.test_case "keys_from persistent across commits" `Quick
+            test_keys_from_is_persistent;
+          Alcotest.test_case "write buffer squash order" `Quick
+            test_write_buffer_squash_order;
           Alcotest.test_case "wal records txn" `Quick test_wal_records_transaction;
           Alcotest.test_case "wal records abort" `Quick test_wal_records_abort;
         ]

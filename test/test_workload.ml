@@ -42,7 +42,8 @@ let test_table1_rows_complete () =
 
 let generate_many ?(params = Params.default) ?(n = 2000) seed =
   let rng = Rng.create seed in
-  List.init n (fun _ -> Txn_gen.generate params rng)
+  let gen = Txn_gen.generator params in
+  List.init n (fun _ -> Txn_gen.generate gen rng)
 
 let test_sizes_in_range () =
   List.iter
@@ -138,12 +139,80 @@ let test_determinism () =
   let a = generate_many ~n:100 42 and b = generate_many ~n:100 42 in
   check_bool "same seed, same workload" true (a = b)
 
+(* The generator as it was before key names were tabled: every key and value
+   formatted with [Printf] at its draw. The tabled generator must consume the
+   same random stream and produce the same bytes. *)
+let reference_generate params rng =
+  let key () =
+    let n = params.Params.key_space in
+    let idx =
+      if params.Params.key_skew > 0. then
+        Rng.zipf rng ~n ~s:params.Params.key_skew - 1
+      else Rng.uniform rng ~lo:0 ~hi:(n - 1)
+    in
+    Printf.sprintf "item:%06d" idx
+  in
+  let value () = Printf.sprintf "v%Ld" (Rng.bits64 rng) in
+  let size =
+    Rng.uniform rng ~lo:params.Params.tran_size_min ~hi:params.Params.tran_size_max
+  in
+  if not (Rng.bernoulli rng ~p:params.Params.update_tran_prob) then
+    { Txn_gen.kind = Txn_gen.Read_only;
+      ops = List.init size (fun _ -> Txn_gen.Read_op (key ())) }
+  else begin
+    let ops =
+      List.init size (fun _ ->
+          if Rng.bernoulli rng ~p:params.Params.update_op_prob then
+            Txn_gen.Write_op (key (), value ())
+          else Txn_gen.Read_op (key ()))
+    in
+    let ops =
+      if List.exists (function Txn_gen.Write_op _ -> true | Txn_gen.Read_op _ -> false) ops
+      then ops
+      else
+        match ops with
+        | Txn_gen.Read_op k :: rest -> Txn_gen.Write_op (k, value ()) :: rest
+        | (Txn_gen.Write_op _ :: _ | []) -> ops
+    in
+    { Txn_gen.kind = Txn_gen.Update; ops }
+  end
+
+let test_key_table_matches_printf () =
+  (* A small key space makes most draws hit an already tabled name; the
+     skewed case exercises the Zipf path. *)
+  List.iter
+    (fun (params, seed) ->
+      let gen = Txn_gen.generator params in
+      let rng = Rng.create seed and ref_rng = Rng.create seed in
+      for i = 1 to 10_000 do
+        let got = Txn_gen.generate gen rng in
+        let want = reference_generate params ref_rng in
+        if got <> want then
+          Alcotest.failf "draw %d (seed %d): %a <> %a" i seed Txn_gen.pp got
+            Txn_gen.pp want
+      done)
+    [
+      (Params.default, 11);
+      ({ Params.default with Params.key_space = 500 }, 12);
+      ({ Params.default with Params.key_space = 2000; key_skew = 0.9 }, 13);
+    ]
+
+let test_value_of_bits_matches_printf () =
+  let rng = Rng.create 14 in
+  let draws = List.init 1000 (fun _ -> Rng.bits64 rng) in
+  List.iter
+    (fun b ->
+      Alcotest.(check string) (Int64.to_string b) (Printf.sprintf "v%Ld" b)
+        (Txn_gen.value_of_bits b))
+    ([ 0L; 1L; -1L; -42L; Int64.min_int; Int64.max_int ] @ draws)
+
 let prop_generate_wellformed =
+  let gen = Txn_gen.generator Params.default in
   QCheck.Test.make ~name:"generated transactions are well-formed" ~count:500
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let spec = Txn_gen.generate Params.default rng in
+      let spec = Txn_gen.generate gen rng in
       let n = Txn_gen.op_count spec in
       n >= 5 && n <= 15
       &&
@@ -177,6 +246,10 @@ let () =
           Alcotest.test_case "key skew concentrates" `Quick
             test_key_skew_concentrates;
           Alcotest.test_case "deterministic" `Quick test_determinism;
+          Alcotest.test_case "key table matches printf" `Quick
+            test_key_table_matches_printf;
+          Alcotest.test_case "values match printf" `Quick
+            test_value_of_bits_matches_printf;
           QCheck_alcotest.to_alcotest prop_generate_wellformed;
         ] );
     ]
