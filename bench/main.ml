@@ -64,6 +64,147 @@ let run_ablations opts ~csv ~wanted =
   if List.mem "ablate-contention" wanted then
     emit ~csv (Figures.ablate_contention opts)
 
+(* --- Whole-outcome digests ------------------------------------------------------
+
+   One line per fixed configuration: the MD5 of the marshalled
+   [Sim_system.outcome] with its two host- or engine-dependent fields zeroed
+   ([sim_events], [checker_cpu_s]), then [sim_events] on its own. Every other
+   field is exact per seed, so a change that must not alter simulated
+   behaviour leaves the digest column identical and moves, at most, the
+   event count. The observed run folds the exported lineage, obs metrics and
+   monitor series into its digest too. *)
+let run_digest ~seed =
+  let open Lsr_workload in
+  let open Lsr_core in
+  let small =
+    {
+      Params.default with
+      Params.num_secondaries = 3;
+      clients_per_secondary = 20;
+      warmup = 60.;
+      duration = 600.;
+    }
+  in
+  let base ?(params = small) g = Sim_system.config params g ~seed in
+  let observed () =
+    let obs = Obs.create () and lineage = Lineage.create () in
+    let monitor = Monitor.create ~interval:1.0 () in
+    let params =
+      { small with Params.num_secondaries = 2 }
+    in
+    let cfg =
+      {
+        (base ~params Session.Strong_session) with
+        Sim_system.client_mode =
+          Sim_system.Open_loop
+            { clients = 30; arrival = Sim_system.Poisson; session_pool = 0 };
+        watchdog = true;
+        obs;
+        lineage;
+        monitor;
+        flight = Lsr_obs.Flight.create ();
+      }
+    in
+    ( cfg,
+      fun () ->
+        Lineage.json lineage ^ Obs.metrics_json obs
+        ^ Lsr_obs.Timeseries.json_string (Monitor.series monitor) )
+  in
+  let plain cfg = (cfg, fun () -> "") in
+  let configs =
+    [
+      ( "fig2",
+        fun () ->
+          plain
+            (base
+               ~params:{ Params.default with Params.clients_per_secondary = 50 }
+               Session.Strong_session) );
+      ( "weak-history-watchdog",
+        fun () ->
+          plain
+            {
+              (base Session.Weak) with
+              Sim_system.record_history = true;
+              watchdog = true;
+            } );
+      ( "skew-migrate",
+        fun () ->
+          plain
+            {
+              (base
+                 ~params:{ small with Params.key_space = 500; key_skew = 1.1 }
+                 Session.Prefix_consistent)
+              with
+              Sim_system.record_history = true;
+              migrate_prob = 0.3;
+            } );
+      ("open-observed", observed);
+      ( "strong-session-history",
+        fun () ->
+          plain
+            { (base Session.Strong_session) with Sim_system.record_history = true }
+      );
+      ( "chaos-faults",
+        fun () ->
+          plain
+            {
+              (base Session.Strong_session) with
+              Sim_system.record_history = true;
+              watchdog = true;
+              faults = Some Lsr_faults.Channel.chaos;
+              flight = Lsr_obs.Flight.create ();
+            } );
+      ( "fence-mix",
+        fun () ->
+          plain
+            {
+              (base
+                 ~params:{ small with Params.propagation_jitter = 2. }
+                 Session.Weak)
+              with
+              Sim_system.record_history = true;
+              migrate_prob = 0.2;
+              fence =
+                Sim_system.Fence_mix
+                  [
+                    (0.3, Some Session.Session_seq);
+                    (0.2, Some (Session.Max_age 1.0));
+                    (0.5, None);
+                  ];
+            } );
+      ( "serial-refresh",
+        fun () ->
+          plain
+            {
+              (base Session.Strong_session) with
+              Sim_system.record_history = true;
+              serial_refresh = true;
+            } );
+      ( "ship-aborted",
+        fun () ->
+          plain
+            {
+              (base
+                 ~params:{ small with Params.abort_prob = 0.3 }
+                 Session.Strong_session)
+              with
+              Sim_system.record_history = true;
+              ship_aborted = true;
+            } );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let cfg, extra = make () in
+      let o = Sim_system.run cfg in
+      let exact = { o with Sim_system.sim_events = 0; checker_cpu_s = 0. } in
+      let digest =
+        Digest.to_hex
+          (Digest.string (Marshal.to_string exact [ Marshal.No_sharing ] ^ extra ()))
+      in
+      Printf.printf "%-24s %s sim_events=%d\n%!" name digest o.Sim_system.sim_events)
+    configs
+
 (* --- Fault-injection scenarios (docs/FAULTS.md) ----------------------------- *)
 
 (* Runs the simulated system with the propagation channels subjected to
@@ -563,7 +704,7 @@ let extra_targets =
   [
     "ablate-contention"; "fig-staleness"; "fig-utilization"; "fig-fence";
     "fig-plan"; "fig-watchdog"; "fig-flight"; "faults"; "smoke"; "analyze";
-    "perf";
+    "perf"; "digest";
   ]
 
 let bench_out_arg =
@@ -580,7 +721,7 @@ let targets_arg =
      ablate-delay, micro or all (default). Extension studies (excluded \
      from all): ablate-contention, fig-staleness, fig-utilization, \
      fig-fence, fig-plan, fig-watchdog, fig-flight, faults, smoke, \
-     analyze, perf."
+     analyze, perf, digest."
   in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"TARGET" ~doc)
 
@@ -682,6 +823,7 @@ let main quick seed csv verbose trace metrics lineage_file lag_report timeseries
     if List.mem "smoke" wanted then
       run_smoke ~seed ~obs ~lineage ~monitor ~watchdog ~flight ~on_outcome;
     if List.mem "analyze" wanted then run_analysis ~csv;
+    if List.mem "digest" wanted then run_digest ~seed;
     if List.mem "perf" wanted then run_perf ~quick ~seed ~verbose ~bench_out;
     if List.mem "micro" wanted then run_micro ();
     Option.iter

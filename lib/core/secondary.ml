@@ -69,12 +69,16 @@ let make ~name ~obs ~lineage ~flight db on_refresh_commit =
 let create ?(name = "secondary") ?(obs = Lsr_obs.Obs.null)
     ?(lineage = Lsr_obs.Lineage.null) ?(flight = Lsr_obs.Flight.null)
     ?(on_refresh_commit = fun _ -> ()) () =
-  make ~name ~obs ~lineage ~flight (Mvcc.create ~name ()) on_refresh_commit
+  make ~name ~obs ~lineage ~flight
+    (Mvcc.create ~name ~log:false ())
+    on_refresh_commit
 
 let create_from ?(name = "secondary") ?(obs = Lsr_obs.Obs.null)
     ?(lineage = Lsr_obs.Lineage.null) ?(flight = Lsr_obs.Flight.null)
     ?(on_refresh_commit = fun _ -> ()) backup =
-  make ~name ~obs ~lineage ~flight (Mvcc.restore ~name backup) on_refresh_commit
+  make ~name ~obs ~lineage ~flight
+    (Mvcc.restore ~name ~log:false backup)
+    on_refresh_commit
 
 let db t = t.db
 let name t = t.name
@@ -205,6 +209,11 @@ let applicator_step t app =
         raise (Refresh_conflict { txn = app.primary_txn; key = "<forced>" }))
     | Some _ | None -> Waiting_commit)
 
+let applicator_remaining app =
+  match app.phase with
+  | Applying updates -> List.length updates
+  | Awaiting_commit | Committed_phase -> 0
+
 let applicator_txn app = app.primary_txn
 let applicator_commit_ts app = app.commit_ts
 let applicator_local_start app = Mvcc.start_ts app.refresh
@@ -244,4 +253,8 @@ let update_queue_length t = Queue.length t.update_queue
 let pending_queue_length t = Queue.length t.pending
 let peek_update t = Queue.peek_opt t.update_queue
 let pending_head t = Queue.peek_opt t.pending
+
+let is_pending_head t ts =
+  (not (Queue.is_empty t.pending)) && Timestamp.equal (Queue.peek t.pending) ts
+
 let pending_timestamps t = List.of_seq (Queue.to_seq t.pending)

@@ -66,7 +66,8 @@ val create_from :
   string ->
   t
 
-(** The local database copy. *)
+(** The local database copy. It keeps no log: only the primary's log is
+    ever propagated, so {!Lsr_storage.Mvcc.wal} of it stays empty. *)
 val db : t -> Mvcc.t
 
 (** The site name given at creation (tags this site's lineage events). *)
@@ -114,6 +115,10 @@ type applicator_outcome =
 
 val applicator_step : t -> applicator -> applicator_outcome
 
+(** Updates the applicator has not executed yet: the number of further
+    [Applied] steps before it waits to commit. *)
+val applicator_remaining : applicator -> int
+
 (** Primary transaction id and commit timestamp an applicator installs. *)
 val applicator_txn : applicator -> int
 
@@ -146,6 +151,10 @@ val peek_update : t -> Txn_record.t option
 (** Head of the pending queue: the primary commit timestamp that must commit
     locally next. *)
 val pending_head : t -> Timestamp.t option
+
+(** [is_pending_head t ts] is [pending_head t = Some ts], without allocating:
+    an applicator's wake-up test. *)
+val is_pending_head : t -> Timestamp.t -> bool
 
 (** Pending queue contents, head first (primary commit timestamps). *)
 val pending_timestamps : t -> Timestamp.t list

@@ -313,7 +313,16 @@ let run_applicator st site app =
   let rec go () =
     match Secondary.applicator_step site.sec app with
     | Secondary.Applied _ ->
-      Resource.use site.res p.Params.op_service_time;
+      (* This update's service and the remaining updates run as the stages
+         of one job; each stage boundary executes the next update, as the
+         next turn of this loop would. *)
+      let left = ref (Secondary.applicator_remaining app) in
+      Resource.use_stages site.res p.Params.op_service_time ~stages:(!left + 1)
+        ~after:(fun () ->
+          if !left > 0 then begin
+            decr left;
+            ignore (Secondary.applicator_step site.sec app)
+          end);
       go ()
     | Secondary.Waiting_commit ->
       if not !waiting then begin
@@ -324,7 +333,7 @@ let run_applicator st site app =
       end;
       let mine = Secondary.applicator_commit_ts app in
       Condition.await site.pending_cond (fun () ->
-          Secondary.pending_head site.sec = Some mine);
+          Secondary.is_pending_head site.sec mine);
       go ()
     | Secondary.Committed ts ->
       let now = Engine.now st.eng in
@@ -387,6 +396,19 @@ let fresh_label st =
   st.label_counter <- st.label_counter + 1;
   "s" ^ string_of_int st.label_counter
 
+(* A transaction's operations as one staged job at [res]: each operation
+   executes at the end of its own stage of service. *)
+let run_ops st res spec execute =
+  let pending = ref spec.Txn_gen.ops in
+  Resource.use_stages res st.cfg.params.Params.op_service_time
+    ~stages:(List.length !pending)
+    ~after:(fun () ->
+      match !pending with
+      | [] -> ()
+      | op :: rest ->
+        pending := rest;
+        execute op)
+
 let execute_update st rng label spec =
   let p = st.cfg.params in
   let pdb = Primary.db st.primary in
@@ -402,15 +424,11 @@ let execute_update st rng label spec =
     let snapshot = Mvcc.latest_commit_ts pdb in
     let txn = Mvcc.begin_txn pdb in
     let reads = ref [] in
-    List.iter
-      (fun op ->
-        Resource.use st.primary_res p.Params.op_service_time;
-        match op with
-        | Txn_gen.Read_op key ->
-          let v = Mvcc.read pdb txn key in
-          if st.track_reads then reads := (key, v) :: !reads
-        | Txn_gen.Write_op (key, value) -> Mvcc.write pdb txn key (Some value))
-      spec.Txn_gen.ops;
+    run_ops st st.primary_res spec (function
+      | Txn_gen.Read_op key ->
+        let v = Mvcc.read pdb txn key in
+        if st.track_reads then reads := (key, v) :: !reads
+      | Txn_gen.Write_op (key, value) -> Mvcc.write pdb txn key (Some value));
     if Rng.bernoulli rng ~p:p.Params.abort_prob then begin
       Mvcc.abort pdb txn;
       Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
@@ -482,7 +500,6 @@ let execute_update st rng label spec =
   attempt ()
 
 let execute_read ?fence st site label spec =
-  let p = st.cfg.params in
   let sdb = Secondary.db site.sec in
   (* An [Exact] or [Max_age] fence resolves its threshold once, at
      submission (the Minnal per-statement horizon B): blocking does not move
@@ -557,15 +574,11 @@ let execute_read ?fence st site label spec =
   Session.note_read ?fence st.sessions ~label ~snapshot;
   let txn = Mvcc.begin_txn sdb in
   let reads = ref [] in
-  List.iter
-    (fun op ->
-      Resource.use site.res p.Params.op_service_time;
-      match op with
-      | Txn_gen.Read_op key ->
-        let v = Mvcc.read sdb txn key in
-        if st.track_reads then reads := (key, v) :: !reads
-      | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
-    spec.Txn_gen.ops;
+  run_ops st site.res spec (function
+    | Txn_gen.Read_op key ->
+      let v = Mvcc.read sdb txn key in
+      if st.track_reads then reads := (key, v) :: !reads
+    | Txn_gen.Write_op _ -> assert false (* read-only by construction *));
   Mvcc.end_read sdb txn;
   (* The seq floor this read was held to (-1 = unfenced), recorded so replay
      can show the claim the fence audit later judges. Pure state reads. *)
@@ -930,7 +943,7 @@ let config_json cfg =
           ] );
     ]
 
-let run cfg =
+let run_stores cfg =
   let p = cfg.params in
   let eng = Engine.create () in
   (* Lineage events are stamped with virtual time. Binding the clock only
@@ -1129,7 +1142,7 @@ let run cfg =
       (Some bundle, Lsr_obs.Flight.trigger_reason cfg.flight)
     end
   in
-  {
+  ( {
     throughput_fast = float_of_int (Metrics.fast_completions m) /. measured;
     read_rt_mean = Stat.mean (Metrics.read_rt m);
     update_rt_mean = Stat.mean (Metrics.update_rt m);
@@ -1177,4 +1190,10 @@ let run cfg =
     resources =
       resource_report st.primary_res
       :: Array.to_list (Array.map (fun site -> resource_report site.res) st.sites);
-  }
+  },
+  Primary.db st.primary,
+  Array.to_list (Array.map (fun site -> Secondary.db site.sec) st.sites) )
+
+let run cfg =
+  let outcome, _, _ = run_stores cfg in
+  outcome

@@ -271,3 +271,9 @@ type outcome = {
 
 (** [run config] executes one independent replication and reduces it. *)
 val run : config -> outcome
+
+(** [run_stores config] is [run config] together with the run's final
+    primary store and the secondary stores in site order, for audits of the
+    storage a run leaves behind. *)
+val run_stores :
+  config -> outcome * Lsr_storage.Mvcc.t * Lsr_storage.Mvcc.t list

@@ -10,15 +10,43 @@ type job = {
   waker : unit Process.waker;
 }
 
+(* A processor-sharing job's two clocks, in an all-float record so that
+   re-arming them at every stage boundary stores floats flat instead of
+   boxing them. *)
+type ps_times = {
+  mutable vfinish : float;
+      (* virtual time at which the current stage's demand is met *)
+  mutable arrived_at : float;  (* real arrival time of the current stage *)
+}
+
 (* Processor-sharing jobs are keyed by the virtual time at which their demand
    is met (arrival virtual time + demand); [seq] makes completion order
-   deterministic when finish times tie. *)
+   deterministic when finish times tie. A staged job re-enters the heap at
+   each stage boundary with fresh [times] and [seq]. *)
 type ps_job = {
-  vfinish : float;
-  seq : int;
+  times : ps_times;
+  mutable seq : int;
   ps_amount : float;
-  ps_arrived : float;  (* real arrival time, for sojourn telemetry *)
+  mutable stages_left : int;  (* stages still to serve after this one *)
+  after : unit -> unit;
   ps_waker : unit Process.waker;
+}
+
+(* The resource's fluid and telemetry clocks, flat for the same reason as
+   [ps_times]: they change at every arrival and completion. *)
+type clocks = {
+  (* Processor sharing: the fluid clock jobs are measured against, and when
+     it was last advanced. *)
+  mutable vtime : float;
+  mutable last_update : float;
+  mutable busy : float;
+  (* Fifo / round-robin: when the slice in progress started ([nan] when the
+     server is idle), so busy time can be pro-rated at any read instant. *)
+  mutable slice_start : float;
+  (* Time integral of the number of jobs present (L), charged up to
+     [last_area_update]. *)
+  mutable queue_area : float;
+  mutable last_area_update : float;
 }
 
 type t = {
@@ -26,29 +54,21 @@ type t = {
   name : string;
   discipline : discipline;
   (* Processor sharing: jobs in simultaneous service, ordered by finish
-     virtual time, plus the fluid clock they are measured against. *)
+     virtual time. *)
   ps_heap : ps_job Binheap.t;
-  mutable vtime : float;
   mutable ps_seq : int;
-  mutable last_update : float;
   (* The one completion event, created at the first arrival and re-armed
      in place at every population change from then on. *)
   mutable completion : Engine.handle option;
   (* Fifo / round-robin: the waiting line and the server state. *)
   queue : job Queue.t;
   mutable serving : bool;
-  mutable busy : float;
-  (* Fifo / round-robin: when the slice in progress started ([nan] when the
-     server is idle), so busy time can be pro-rated at any read instant. *)
-  mutable slice_start : float;
-  (* Queueing telemetry: per-job tallies recorded at completion, plus the
-     time-weighted integral of the number of jobs present (L). *)
+  c : clocks;
+  (* Queueing telemetry: per-job tallies recorded at completion. *)
   mutable arrivals : int;
   mutable completions : int;
   wait : Stat.t;  (* sojourn minus service demand, per completed job *)
   service : Stat.t;  (* service demand per completed job *)
-  mutable queue_area : float;  (* integral of jobs-present dt *)
-  mutable last_area_update : float;
 }
 
 let epsilon = 1e-9
@@ -64,22 +84,25 @@ let create ?(name = "resource") eng ~discipline =
     discipline;
     ps_heap =
       Binheap.create ~cmp:(fun a b ->
-          let c = Float.compare a.vfinish b.vfinish in
+          let c = Float.compare a.times.vfinish b.times.vfinish in
           if c <> 0 then c else Int.compare a.seq b.seq);
-    vtime = 0.;
     ps_seq = 0;
-    last_update = Engine.now eng;
     completion = None;
     queue = Queue.create ();
     serving = false;
-    busy = 0.;
-    slice_start = nan;
+    c =
+      {
+        vtime = 0.;
+        last_update = Engine.now eng;
+        busy = 0.;
+        slice_start = nan;
+        queue_area = 0.;
+        last_area_update = Engine.now eng;
+      };
     arrivals = 0;
     completions = 0;
     wait = Stat.create ();
     service = Stat.create ();
-    queue_area = 0.;
-    last_area_update = Engine.now eng;
   }
 
 (* Jobs present right now, before any lazy state advance: queued plus in
@@ -95,10 +118,10 @@ let raw_jobs t =
    Must run before the job population changes. *)
 let advance_area t =
   let now = Engine.now t.eng in
-  let elapsed = now -. t.last_area_update in
+  let elapsed = now -. t.c.last_area_update in
   if elapsed > 0. then
-    t.queue_area <- t.queue_area +. (float_of_int (raw_jobs t) *. elapsed);
-  t.last_area_update <- now
+    t.c.queue_area <- t.c.queue_area +. (float_of_int (raw_jobs t) *. elapsed);
+  t.c.last_area_update <- now
 
 let note_arrival t =
   advance_area t;
@@ -106,8 +129,9 @@ let note_arrival t =
 
 (* Per-job tallies, recorded once at completion. Waiting time is the sojourn
    beyond the job's own service demand — exactly the queueing delay under
-   Fifo, and the slowdown from sharing the server under RR/PS. *)
-let note_completion_values t ~amount ~arrived =
+   Fifo, and the slowdown from sharing the server under RR/PS. Inlined so
+   that a float read from a flat record is not boxed to be passed here. *)
+let[@inline] note_completion_values t ~amount ~arrived =
   advance_area t;
   t.completions <- t.completions + 1;
   let sojourn = Engine.now t.eng -. arrived in
@@ -125,24 +149,41 @@ let note_completion t job =
    at virtual time [V] with demand [a] finishes when [vtime] reaches
    [V + a], so the next completion is always the minimum finish virtual time
    in a heap, and every arrival/completion costs O(log n). Completion
-   instants are identical to the per-job formulation up to float rounding. *)
+   instants are identical to the per-job formulation up to float rounding.
+
+   A staged job serves its stages back to back. Under processor sharing a
+   job that completes and re-arrives at the same instant leaves every other
+   job's share unchanged, so the job stays in the heap across its stages: at
+   each boundary the completion event tallies the stage, runs [after] and
+   re-arms the job as a fresh arrival, exactly as a process calling [use]
+   again would, without the wake-up and the resumption in between. *)
 
 let ps_advance t =
   let now = Engine.now t.eng in
-  let elapsed = now -. t.last_update in
+  let elapsed = now -. t.c.last_update in
   let n = Binheap.length t.ps_heap in
   if elapsed > 0. && n > 0 then begin
-    t.vtime <- t.vtime +. (elapsed /. float_of_int n);
-    t.busy <- t.busy +. elapsed
+    t.c.vtime <- t.c.vtime +. (elapsed /. float_of_int n);
+    t.c.busy <- t.c.busy +. elapsed
   end;
-  t.last_update <- now
+  t.c.last_update <- now
+
+(* Enter [j]'s current stage: an arrival at the current instant. *)
+let ps_push t j =
+  note_arrival t;
+  ps_advance t;
+  j.times.vfinish <- t.c.vtime +. j.ps_amount;
+  j.times.arrived_at <- Engine.now t.eng;
+  j.seq <- t.ps_seq;
+  t.ps_seq <- t.ps_seq + 1;
+  Binheap.push t.ps_heap j
 
 let rec ps_reschedule t =
   match Binheap.peek t.ps_heap with
   | None -> Option.iter (Engine.cancel t.eng) t.completion
   | Some next -> (
     let n = float_of_int (Binheap.length t.ps_heap) in
-    let delay = max 0. ((next.vfinish -. t.vtime) *. n) in
+    let delay = max 0. ((next.times.vfinish -. t.c.vtime) *. n) in
     match t.completion with
     | Some h -> Engine.reschedule t.eng h ~delay
     | None ->
@@ -150,38 +191,46 @@ let rec ps_reschedule t =
 
 and ps_complete t =
   ps_advance t;
-  (* Pop every job whose demand is met at the advanced virtual time; ties
+  (* Pop every job whose stage is met at the advanced virtual time; ties
      complete in arrival order (heap order includes [seq]). *)
-  let rec drain wakers =
+  let rec drain finished =
     match Binheap.peek t.ps_heap with
-    | Some j when j.vfinish -. t.vtime <= epsilon ->
+    | Some j when j.times.vfinish -. t.c.vtime <= epsilon ->
       (* Telemetry first: the pending interval in the queue-length integral
          must be charged at the population that held during it, i.e. with
          this job still counted. *)
-      note_completion_values t ~amount:j.ps_amount ~arrived:j.ps_arrived;
+      note_completion_values t ~amount:j.ps_amount ~arrived:j.times.arrived_at;
       ignore (Binheap.pop t.ps_heap);
-      drain (j.ps_waker :: wakers)
-    | Some _ | None -> List.rev wakers
+      drain (j :: finished)
+    | Some _ | None -> List.rev finished
   in
-  let wakers = drain [] in
-  List.iter (fun waker -> waker ()) wakers;
+  (* Re-arm only after the drain, in drain order: a zero-amount stage then
+     waits for the next completion event instead of looping here, and tied
+     jobs keep their relative order. *)
+  List.iter
+    (fun j ->
+      j.after ();
+      if j.stages_left > 0 then begin
+        j.stages_left <- j.stages_left - 1;
+        ps_push t j
+      end
+      else j.ps_waker ())
+    (drain []);
   ps_reschedule t
 
-let ps_use t amount =
+let ps_use t amount ~stages ~after =
   Process.suspend (fun waker ->
-      note_arrival t;
-      ps_advance t;
       let job =
         {
-          vfinish = t.vtime +. amount;
-          seq = t.ps_seq;
+          times = { vfinish = 0.; arrived_at = 0. };
+          seq = 0;
           ps_amount = amount;
-          ps_arrived = Engine.now t.eng;
+          stages_left = stages - 1;
+          after;
           ps_waker = waker;
         }
       in
-      t.ps_seq <- t.ps_seq + 1;
-      Binheap.push t.ps_heap job;
+      ps_push t job;
       ps_reschedule t)
 
 (* --- Fifo ---------------------------------------------------------------- *)
@@ -190,13 +239,13 @@ let rec fifo_start_next t =
   match Queue.take_opt t.queue with
   | None ->
     t.serving <- false;
-    t.slice_start <- nan
+    t.c.slice_start <- nan
   | Some job ->
     t.serving <- true;
-    t.slice_start <- Engine.now t.eng;
+    t.c.slice_start <- Engine.now t.eng;
     ignore
       (Engine.schedule t.eng ~delay:job.remaining (fun () ->
-           t.busy <- t.busy +. (Engine.now t.eng -. t.slice_start);
+           t.c.busy <- t.c.busy +. (Engine.now t.eng -. t.c.slice_start);
            note_completion t job;
            job.waker ();
            fifo_start_next t))
@@ -219,14 +268,14 @@ let rec rr_serve_slice t quantum =
   match Queue.take_opt t.queue with
   | None ->
     t.serving <- false;
-    t.slice_start <- nan
+    t.c.slice_start <- nan
   | Some job ->
     t.serving <- true;
-    t.slice_start <- Engine.now t.eng;
+    t.c.slice_start <- Engine.now t.eng;
     let slice = min quantum job.remaining in
     ignore
       (Engine.schedule t.eng ~delay:slice (fun () ->
-           t.busy <- t.busy +. (Engine.now t.eng -. t.slice_start);
+           t.c.busy <- t.c.busy +. (Engine.now t.eng -. t.c.slice_start);
            job.remaining <- job.remaining -. slice;
            if job.remaining <= epsilon then begin
              note_completion t job;
@@ -245,17 +294,29 @@ let rr_use t quantum amount =
 
 (* --- Common --------------------------------------------------------------- *)
 
-let use t amount =
-  if not (Float.is_finite amount) || amount < 0. then
-    invalid_arg "Resource.use: amount must be finite and non-negative";
-  (* Zero-amount jobs still join the discipline: they must wait behind every
-     job already in line, not jump the queue by returning immediately. All
-     three disciplines complete a [remaining = 0.] job in its arrival-order
-     turn without consuming service time. *)
-  match t.discipline with
-  | Processor_sharing -> ps_use t amount
-  | Fifo -> fifo_use t amount
-  | Round_robin quantum -> rr_use t quantum amount
+let use_stages t amount ~stages ~after =
+  if stages > 0 then begin
+    if not (Float.is_finite amount) || amount < 0. then
+      invalid_arg "Resource.use: amount must be finite and non-negative";
+    (* Zero-amount jobs still join the discipline: they must wait behind
+       every job already in line, not jump the queue by returning
+       immediately. All three disciplines complete a [remaining = 0.] job in
+       its arrival-order turn without consuming service time. *)
+    match t.discipline with
+    | Processor_sharing -> ps_use t amount ~stages ~after
+    | Fifo ->
+      for _ = 1 to stages do
+        fifo_use t amount;
+        after ()
+      done
+    | Round_robin quantum ->
+      for _ = 1 to stages do
+        rr_use t quantum amount;
+        after ()
+      done
+  end
+
+let use t amount = use_stages t amount ~stages:1 ~after:ignore
 
 let load t =
   match t.discipline with
@@ -264,13 +325,13 @@ let load t =
        whose completion event has not fired yet (the completion is scheduled
        for exactly this instant), so a sampled queue length never overshoots
        the population that is still genuinely in service. *)
-    let elapsed = Engine.now t.eng -. t.last_update in
+    let elapsed = Engine.now t.eng -. t.c.last_update in
     let n = Binheap.length t.ps_heap in
     if n = 0 then 0
     else begin
-      let v_now = t.vtime +. (elapsed /. float_of_int n) in
+      let v_now = t.c.vtime +. (elapsed /. float_of_int n) in
       Binheap.fold t.ps_heap ~init:0 ~f:(fun acc j ->
-          if j.vfinish -. v_now > epsilon then acc + 1 else acc)
+          if j.times.vfinish -. v_now > epsilon then acc + 1 else acc)
     end
   | Fifo | Round_robin _ -> Queue.length t.queue + if t.serving then 1 else 0
 
@@ -282,10 +343,10 @@ let busy_time t =
   let now = Engine.now t.eng in
   match t.discipline with
   | Processor_sharing ->
-    if Binheap.is_empty t.ps_heap then t.busy
-    else t.busy +. (now -. t.last_update)
+    if Binheap.is_empty t.ps_heap then t.c.busy
+    else t.c.busy +. (now -. t.c.last_update)
   | Fifo | Round_robin _ ->
-    if t.serving then t.busy +. (now -. t.slice_start) else t.busy
+    if t.serving then t.c.busy +. (now -. t.c.slice_start) else t.c.busy
 
 (* --- Telemetry ------------------------------------------------------------- *)
 
@@ -296,9 +357,9 @@ let wait_stat t = t.wait
 let service_stat t = t.service
 
 let queue_area t =
-  let pending = Engine.now t.eng -. t.last_area_update in
-  if pending > 0. then t.queue_area +. (float_of_int (raw_jobs t) *. pending)
-  else t.queue_area
+  let pending = Engine.now t.eng -. t.c.last_area_update in
+  if pending > 0. then t.c.queue_area +. (float_of_int (raw_jobs t) *. pending)
+  else t.c.queue_area
 
 let utilization t =
   let now = Engine.now t.eng in

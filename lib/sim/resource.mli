@@ -39,6 +39,34 @@ val create : ?name:string -> Engine.t -> discipline:discipline -> t
     @raise Invalid_argument if [amount] is negative or not finite. *)
 val use : t -> float -> unit
 
+(** [use_stages t amount ~stages ~after] behaves like
+    [for _ = 1 to stages do use t amount; after () done]: the same stage
+    completion times, [after] calls and their order, telemetry and resume
+    time, float for float. It is how a process runs back-to-back operations
+    on one site.
+
+    Under [Processor_sharing] the stages are one job that stays at the site:
+    each stage boundary is handled inside the completion event (the stage's
+    completion and the next stage's arrival are tallied and [after] runs
+    there), and the process is woken only after the last stage. That saves
+    one wake-up event and one suspend/resume per stage. [Fifo] and
+    [Round_robin] run the plain loop.
+
+    [after] therefore runs inside an engine event, not in the calling
+    process. It must not perform effects ({!Process.delay},
+    {!Process.suspend}, {!use} ...), and it should touch only state that
+    other events at the same instant do not read: it runs ahead of the
+    continuations of the processes its completion event wakes, where the
+    loop would interleave with them. For the same reason, a job that enters
+    [t] at the very instant of a stage boundary (from another event at that
+    instant, or from a process the same completion event woke) queues behind
+    the staged job's next stage, where the loop could order the two the
+    other way round. That shows only if the two jobs then tie on their
+    finish times. A [stages] of 0 or less does nothing.
+    @raise Invalid_argument if [stages > 0] and [amount] is negative or not
+    finite. *)
+val use_stages : t -> float -> stages:int -> after:(unit -> unit) -> unit
+
 (** Jobs currently queued or in service. Under processor sharing, jobs whose
     fluid share has already exhausted their demand but whose completion event
     has not fired yet (it is scheduled for exactly the current instant) are

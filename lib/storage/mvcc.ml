@@ -39,6 +39,9 @@ type t = {
      monitor can sample it every virtual second at zero marginal cost. *)
   mutable versions : int;
   wal : Wal.t;
+  (* [false] for a store whose log nobody reads (a secondary's copy): no
+     record is appended, so the log stays empty. *)
+  log : bool;
   mutable next_txn_id : int;
   (* Commit timestamps with the writes installed, newest first; the basis of
      the S^i state sequence. *)
@@ -47,7 +50,7 @@ type t = {
   mutable latest_commit : Timestamp.t;
 }
 
-let create ?(name = "db") () =
+let create ?(name = "db") ?(log = true) () =
   {
     name;
     clock = Timestamp.source ();
@@ -56,6 +59,7 @@ let create ?(name = "db") () =
     unindexed = [];
     versions = 0;
     wal = Wal.create ();
+    log;
     next_txn_id = 0;
     commits = [];
     commit_count = 0;
@@ -68,7 +72,7 @@ let wal t = t.wal
 let make_txn t start_ts =
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;
-  Wal.append t.wal (Wal.Start { txn = id; ts = start_ts });
+  if t.log then Wal.append t.wal (Wal.Start { txn = id; ts = start_ts });
   { id; start_ts; writes = []; writes_by_key = None; state = Active }
 
 let begin_txn t = make_txn t (Timestamp.next t.clock)
@@ -117,7 +121,7 @@ let read t txn key =
 let write t txn key value =
   require_active txn "write";
   let update = { Wal.key; value } in
-  Wal.append t.wal (Wal.Update { txn = txn.id; update });
+  if t.log then Wal.append t.wal (Wal.Update { txn = txn.id; update });
   txn.writes <- update :: txn.writes;
   match txn.writes_by_key with
   | Some by_key -> Hashtbl.replace by_key key value
@@ -181,19 +185,19 @@ let commit t txn =
   match first_committer_conflict t txn with
   | Some key ->
     txn.state <- Aborted_;
-    Wal.append t.wal (Wal.Abort { txn = txn.id });
+    if t.log then Wal.append t.wal (Wal.Abort { txn = txn.id });
     Aborted (Write_conflict key)
   | None ->
     let commit_ts = Timestamp.next t.clock in
     install t ~commit_ts (effective_updates txn);
     txn.state <- Committed_;
-    Wal.append t.wal (Wal.Commit { txn = txn.id; ts = commit_ts });
+    if t.log then Wal.append t.wal (Wal.Commit { txn = txn.id; ts = commit_ts });
     Committed commit_ts
 
 let abort t txn =
   require_active txn "abort";
   txn.state <- Aborted_;
-  Wal.append t.wal (Wal.Abort { txn = txn.id })
+  if t.log then Wal.append t.wal (Wal.Abort { txn = txn.id })
 
 let end_read _t txn =
   require_active txn "end_read";
@@ -310,7 +314,7 @@ let serialize t =
     bindings;
   Buffer.contents buf
 
-let restore ?name data =
+let restore ?name ?log data =
   let pos = ref 0 in
   let fail msg = failwith ("Mvcc.restore: " ^ msg) in
   let read_until ch =
@@ -335,7 +339,7 @@ let restore ?name data =
   in
   let count = read_int_until ';' in
   if count < 0 then fail "negative count";
-  let t = create ?name () in
+  let t = create ?name ?log () in
   let txn = begin_txn t in
   for _ = 1 to count do
     let key = read_string () in

@@ -12,7 +12,8 @@
       the first-committer-wins rule, so there are no deadlocks;
     - a transaction reads its own uncommitted writes;
     - every update transaction leaves start / update / commit (or abort)
-      records in the site's logical {!Wal}.
+      records in the site's logical {!Wal} (unless the store was created
+      without a log).
 
     The engine also exposes snapshot reconstruction ([state_at], [nth_state])
     used by the test suite to check the paper's completeness property
@@ -31,7 +32,10 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-val create : ?name:string -> unit -> t
+(** [create ?name ?log ()] is an empty store. With [log] [false] (default
+    [true]) nothing is ever appended to its {!wal}: for a copy whose log no
+    one reads, such as a secondary site's. *)
+val create : ?name:string -> ?log:bool -> unit -> t
 val name : t -> string
 
 (** The site's logical log. *)
@@ -144,10 +148,10 @@ val version_count : t -> int
     §3.4 used to reseed failed secondaries. *)
 val serialize : t -> string
 
-(** [restore ?name data] is a fresh database whose single initial commit
-    installs a serialized state.
+(** [restore ?name ?log data] is a fresh database whose single initial
+    commit installs a serialized state; [log] as for {!create}.
     @raise Failure on malformed input. *)
-val restore : ?name:string -> string -> t
+val restore : ?name:string -> ?log:bool -> string -> t
 
 (** Commit timestamps in commit order, oldest first (for checkers). *)
 val commit_history : t -> Timestamp.t list

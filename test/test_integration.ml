@@ -293,6 +293,63 @@ let test_compact_reclaims_log_and_versions () =
     (Mvcc.committed_state (System.primary_db sys))
     (Mvcc.committed_state (System.secondary_db sys 0))
 
+(* Only the primary's log is ever read (propagation, recovery, compaction),
+   so a secondary's store logs nothing, a recovered one included. The
+   primary's log lengths are pinned to what these runs logged while
+   secondaries still kept logs of their own: dropping those must not touch
+   the primary's. *)
+let check_logs what ~primary_log primary secondaries =
+  check_int (what ^ ": primary log") primary_log (Wal.length (Mvcc.wal primary));
+  List.iteri
+    (fun i db ->
+      check_int (Printf.sprintf "%s: secondary %d log" what i) 0
+        (Wal.length (Mvcc.wal db)))
+    secondaries
+
+let test_secondaries_keep_no_wal () =
+  let params =
+    {
+      Lsr_workload.Params.default with
+      Lsr_workload.Params.num_secondaries = 2;
+      clients_per_secondary = 20;
+      warmup = 10.;
+      duration = 600.;
+    }
+  in
+  let _, primary, secondaries =
+    Lsr_experiments.Sim_system.run_stores
+      (Lsr_experiments.Sim_system.config params Session.Strong_session ~seed:14)
+  in
+  check_logs "simulator" ~primary_log:3075 primary secondaries;
+  List.iteri
+    (fun i secondary ->
+      match Checker.check_completeness ~primary ~secondary with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "simulator: secondary %d: %s" i e)
+    secondaries;
+  let sys = System.create ~secondaries:2 ~guarantee:Session.Strong_session () in
+  (* Everyone reads at secondary 0 while secondary 1 is down. *)
+  let clients =
+    Array.init 3 (fun i -> System.connect sys ~secondary:0 (Printf.sprintf "c%d" i))
+  in
+  for round = 1 to 40 do
+    let c = clients.(round mod 3) in
+    ignore
+      (System.update sys c (fun h ->
+           Handle.put h (Printf.sprintf "k%d" (round mod 7)) (string_of_int round)));
+    ignore (System.read sys c (fun h -> Handle.get h "k1"));
+    if round mod 5 = 0 then System.pump sys;
+    if round = 20 then System.crash_secondary sys 1;
+    if round = 30 then System.recover_secondary sys 1
+  done;
+  System.pump sys;
+  check_logs "embedded" ~primary_log:121 (System.primary_db sys)
+    (List.init (System.secondaries sys) (System.secondary_db sys));
+  (* Completeness at the clean site, convergence at the recovered one. *)
+  match System.check sys with
+  | Ok () -> ()
+  | Error errors -> Alcotest.failf "embedded: %s" (String.concat "; " errors)
+
 (* SQL traffic, lazy pumps, a crash and a recovery, all at once: the full
    stack must stay convergent and checkable, and index lookups must agree
    with scans at every replica afterwards. *)
@@ -462,6 +519,8 @@ let () =
             test_indexed_tables_replicate;
           Alcotest.test_case "compact reclaims" `Quick
             test_compact_reclaims_log_and_versions;
+          Alcotest.test_case "secondaries keep no log" `Quick
+            test_secondaries_keep_no_wal;
           Alcotest.test_case "sql soak with crash" `Slow test_sql_soak_with_crash;
         ] );
       ( "lineage",

@@ -689,6 +689,122 @@ let prop_resource_littles_law =
           | Some gap -> gap < 0.1)
         disciplines)
 
+(* [use_stages] must be indistinguishable from its defining loop
+   [for _ = 1 to stages do use; after () done]. A random schedule spawns up
+   to six processes; each makes a few calls with 0-5 stages. Processes pick
+   one of two start instants and each call one of three amounts (one of
+   them zero), so jobs often tie and complete in the same event; later
+   calls follow random gaps. A sampler reads the telemetry at random
+   instants in between. Every schedule is drawn before the run, so both
+   variants face the same one; every float goes into the logs as its exact
+   hex image, so the logs match only if every [after] call, resume and
+   sample is bit-equal and in the same order. The [after] calls form one
+   log and the resumes and samples another: a staged [after] runs inside
+   the completion event, so it comes before, not between, the resumptions
+   of the processes that same event wakes. *)
+let staged_script ~discipline ~staged seed =
+  let eng = Engine.create () in
+  let res = Resource.create eng ~discipline in
+  let rng = Random.State.make [| seed |] in
+  let afters = ref [] and log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let starts = Array.init 2 (fun _ -> Random.State.float rng 1.0) in
+  let amounts = [| 0.; Random.State.float rng 0.3; Random.State.float rng 0.3 |] in
+  for p = 0 to Random.State.int rng 6 do
+    let start = starts.(Random.State.int rng 2) in
+    let calls =
+      List.init
+        (1 + Random.State.int rng 3)
+        (fun c ->
+          let gap = if c = 0 then 0. else Random.State.float rng 0.5 in
+          (gap, amounts.(Random.State.int rng 3), Random.State.int rng 6))
+    in
+    Process.spawn_at eng ~delay:start (fun () ->
+        List.iteri
+          (fun c (gap, amount, stages) ->
+            Process.delay gap;
+            let k = ref 0 in
+            let after () =
+              incr k;
+              afters :=
+                Printf.sprintf "p%d c%d s%d %h" p c !k (Engine.now eng) :: !afters
+            in
+            if staged then Resource.use_stages res amount ~stages ~after
+            else
+              for _ = 1 to stages do
+                Resource.use res amount;
+                after ()
+              done;
+            note "resume p%d c%d %h" p c (Engine.now eng))
+          calls)
+  done;
+  let samples = List.init 5 (fun _ -> Random.State.float rng 3.0) in
+  List.iter
+    (fun at ->
+      ignore
+        (Engine.schedule eng ~delay:at (fun () ->
+             note "sample %h load=%d busy=%h area=%h" (Engine.now eng)
+               (Resource.load res) (Resource.busy_time res)
+               (Resource.queue_area res))))
+    samples;
+  Engine.run eng;
+  let stat name s =
+    note "%s n=%d mean=%h var=%h min=%s max=%s" name (Stat.count s) (Stat.mean s)
+      (Stat.variance s)
+      (Option.fold ~none:"-" ~some:(Printf.sprintf "%h") (Stat.min s))
+      (Option.fold ~none:"-" ~some:(Printf.sprintf "%h") (Stat.max s))
+  in
+  note "end %h arrivals=%d completions=%d area=%h busy=%h" (Engine.now eng)
+    (Resource.arrivals res) (Resource.completions res) (Resource.queue_area res)
+    (Resource.busy_time res);
+  stat "wait" (Resource.wait_stat res);
+  stat "service" (Resource.service_stat res);
+  (List.rev !afters, List.rev !log)
+
+let test_resource_use_stages_equivalence () =
+  List.iter
+    (fun (dname, discipline) ->
+      for seed = 1 to 250 do
+        let looped_afters, looped = staged_script ~discipline ~staged:false seed in
+        let staged_afters, staged = staged_script ~discipline ~staged:true seed in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s seed %d: after calls" dname seed)
+          looped_afters staged_afters;
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s seed %d: resumes and telemetry" dname seed)
+          looped staged
+      done)
+    [
+      ("ps", Resource.Processor_sharing);
+      ("fifo", Resource.Fifo);
+      ("rr", Resource.Round_robin 0.05);
+    ]
+
+(* The point of staging: an n-stage job alone on a processor-sharing site
+   fires one completion event per stage and one wake-up, n + 1 events,
+   where the per-stage loop fires 2n. *)
+let test_resource_use_stages_events () =
+  List.iter
+    (fun n ->
+      let eng = Engine.create () in
+      let res = Resource.create eng ~discipline:Resource.Processor_sharing in
+      let before = ref 0 in
+      let afters = ref [] in
+      Process.spawn eng (fun () ->
+          before := Engine.events_processed eng;
+          Resource.use_stages res 1. ~stages:n ~after:(fun () ->
+              afters := Engine.now eng :: !afters));
+      Engine.run eng;
+      check_int
+        (Printf.sprintf "%d stages: events" n)
+        (n + 1)
+        (Engine.events_processed eng - !before);
+      Alcotest.(check (list (float 0.)))
+        (Printf.sprintf "%d stages: after times" n)
+        (List.init n (fun i -> float_of_int (i + 1)))
+        (List.rev !afters))
+    [ 1; 2; 5; 15 ]
+
 (* Work conservation: whatever the discipline and arrival pattern, every job
    completes, total delivered service equals total demand, and no job
    finishes before [arrival + amount]. *)
@@ -1080,6 +1196,10 @@ let () =
             test_resource_busy_midservice_fifo;
           Alcotest.test_case "busy time mid-slice (rr)" `Quick
             test_resource_busy_midslice_rr;
+          Alcotest.test_case "use_stages = use + after loop" `Quick
+            test_resource_use_stages_equivalence;
+          Alcotest.test_case "use_stages fires n + 1 events" `Quick
+            test_resource_use_stages_events;
           Alcotest.test_case "ps load no overshoot" `Quick
             test_resource_ps_load_no_overshoot;
           Alcotest.test_case "telemetry counts" `Quick
